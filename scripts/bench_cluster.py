@@ -47,22 +47,13 @@ from pathlib import Path
 
 import numpy as np
 
+from benchlib import append_record, git_revision
 from repro.cluster import ClusterRouter, PlacementTable, ShardSpec
 from repro.server.client import PredictionClient, PredictionServiceError
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULTS_PATH = REPO_ROOT / "BENCH_cluster.json"
 SRC_ROOT = REPO_ROOT / "src"
-
-
-def git_revision() -> str:
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=REPO_ROOT, capture_output=True, text=True, check=True,
-        ).stdout.strip()
-    except Exception:  # noqa: BLE001 — benches must run outside git too
-        return "unknown"
 
 
 class ShardProcess:
@@ -386,9 +377,7 @@ def main() -> int:
         print("FAIL: 2-shard fleet did not reach 1.7x single-shard throughput")
         return 1
     path = args.output or RESULTS_PATH
-    history = json.loads(path.read_text()) if path.exists() else []
-    history.append(record)
-    path.write_text(json.dumps(history, indent=2) + "\n")
+    append_record(path, record)
     print(f"recorded to {path}")
     return 0
 

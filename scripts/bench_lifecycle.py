@@ -54,6 +54,8 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 
+from benchlib import append_record, git_revision
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULTS_PATH = REPO_ROOT / "BENCH_lifecycle.json"
 
@@ -65,19 +67,6 @@ WINDOW = 50_000
 HOT_USERS = 20_000
 HOT_SERVICES = 8_000
 CAP_HEADROOM = 1.25  # cap = bounded uncapped VmPeak * this
-
-
-def git_revision() -> str:
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
 
 
 def vm_peak_bytes() -> "int | None":
@@ -542,11 +531,7 @@ def main() -> None:
         print("smoke OK (record validated, not appended)")
         return
     output = args.output or RESULTS_PATH
-    history = json.loads(output.read_text()) if output.exists() else []
-    if not isinstance(history, list):
-        raise SystemExit(f"{output} does not hold a JSON array")
-    history.append(record)
-    output.write_text(json.dumps(history, indent=2) + "\n")
+    append_record(output, record)
     print(f"appended to {output}")
 
 

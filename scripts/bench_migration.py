@@ -39,16 +39,16 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
-import subprocess
 import sys
 import tempfile
 import threading
 import time
 from datetime import datetime, timezone
 from pathlib import Path
+
+from benchlib import append_record, git_revision
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULTS_PATH = REPO_ROOT / "BENCH_cluster.json"
@@ -62,16 +62,6 @@ from repro.server.client import (  # noqa: E402
 )
 
 MAE_WINDOW = 100
-
-
-def git_revision() -> str:
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=REPO_ROOT, capture_output=True, text=True, check=True,
-        ).stdout.strip()
-    except Exception:  # noqa: BLE001 — benches must run outside git too
-        return "unknown"
 
 
 def pick_users(table: PlacementTable, home: str, n_users: int) -> list[int]:
@@ -426,9 +416,7 @@ def main() -> int:
         print("smoke OK (record validated, not appended)")
         return 0
     path = args.output or RESULTS_PATH
-    history = json.loads(path.read_text()) if path.exists() else []
-    history.append(record)
-    path.write_text(json.dumps(history, indent=2) + "\n")
+    append_record(path, record)
     print(f"recorded to {path}")
     return 0
 

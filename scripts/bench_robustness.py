@@ -22,14 +22,13 @@ the bar is missed, so CI can run it as a regression check.
 from __future__ import annotations
 
 import argparse
-import json
-import subprocess
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
+from benchlib import append_record, git_revision
 from repro.core import AdaptiveMatrixFactorization, AMFConfig, StreamTrainer
 from repro.datasets.schema import QoSRecord
 from repro.metrics.errors import mae, npre
@@ -99,16 +98,6 @@ def train(records: list[QoSRecord], gate_on: bool, seed: int) -> dict:
     return result
 
 
-def git_revision() -> str:
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=REPO_ROOT, capture_output=True, text=True, check=True,
-        ).stdout.strip()
-    except Exception:  # noqa: BLE001 — bench must run outside git too
-        return "unknown"
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--records", type=int, default=6000,
@@ -167,11 +156,7 @@ def main() -> int:
         "pass": not failures,
         "failures": failures,
     }
-    history = []
-    if RESULTS_PATH.exists():
-        history = json.loads(RESULTS_PATH.read_text())
-    history.append(record)
-    RESULTS_PATH.write_text(json.dumps(history, indent=2) + "\n")
+    append_record(RESULTS_PATH, record)
     print(f"recorded to {RESULTS_PATH}")
     for failure in failures:
         print(f"FAIL: {failure}")

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import threading
 import time
 from datetime import datetime, timezone
@@ -38,6 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
+from benchlib import append_record, git_revision
 from repro.server.app import PredictionServer
 from repro.server.binary import BinaryConnection
 from repro.server.client import PredictionClient
@@ -49,19 +49,6 @@ N_USERS = 100
 N_SERVICES = 200
 BATCH_SIZE = 20
 ZIPF_S = 1.1
-
-
-def git_revision() -> str:
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
 
 
 def zipf_users(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -365,11 +352,7 @@ def main() -> None:
         return
 
     output = args.output or RESULTS_PATH
-    history = json.loads(output.read_text()) if output.exists() else []
-    if not isinstance(history, list):
-        raise SystemExit(f"{output} does not hold a JSON array")
-    history.append(record)
-    output.write_text(json.dumps(history, indent=2) + "\n")
+    append_record(output, record)
     print(f"appended to {output}")
 
 

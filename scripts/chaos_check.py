@@ -59,8 +59,6 @@ baseline migration, and checkpoint digests equal on both shards.
 from __future__ import annotations
 
 import argparse
-import json
-import subprocess
 import sys
 import tempfile
 from datetime import datetime, timezone
@@ -68,6 +66,7 @@ from pathlib import Path
 
 import numpy as np
 
+from benchlib import append_record, git_revision
 from repro.datasets.schema import QoSRecord
 from repro.simulation import FaultConfig, run_crash_recovery
 
@@ -193,16 +192,6 @@ def run_poison_flood(seed: int, records: int) -> int:
     return 0
 
 
-def _git_revision() -> str:
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=REPO_ROOT, capture_output=True, text=True, check=True,
-        ).stdout.strip()
-    except Exception:  # noqa: BLE001 — the drill must run outside git too
-        return "unknown"
-
-
 def run_failover_drill(
     seed: int,
     records: int,
@@ -236,7 +225,7 @@ def run_failover_drill(
         path = Path(bench_out)
         entry = {
             "timestamp": datetime.now(timezone.utc).isoformat(),
-            "revision": _git_revision(),
+            "revision": git_revision(),
             "drill": "failover",
             "records": records,
             "kill_after": kill_after,
@@ -249,9 +238,7 @@ def run_failover_drill(
             "promoted_epoch": report.detail.get("promoted_epoch"),
             "pass": passed,
         }
-        history = json.loads(path.read_text()) if path.exists() else []
-        history.append(entry)
-        path.write_text(json.dumps(history, indent=2) + "\n")
+        append_record(path, entry)
         print(f"recorded to {path}")
     return 0 if passed else 1
 

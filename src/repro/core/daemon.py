@@ -252,11 +252,8 @@ class BackgroundTrainer:
                       full blocks to fuse), small enough to keep arrival
                       latency low.
         idle_sleep:   seconds to sleep when the store is empty.
-        kernel:       replay kernel override ("scalar", "vectorized" or
-                      "parallel" — the latter requires a
-                      :class:`~repro.core.parallel.ParallelReplayEngine`
-                      attached to the model); ``None`` (default) uses the
-                      model's ``config.kernel``.
+
+    Replay runs on the model's ``config.kernel``.
     """
 
     def __init__(
@@ -265,20 +262,14 @@ class BackgroundTrainer:
         clock=None,
         batch_size: int = 256,
         idle_sleep: float = 0.01,
-        kernel: str | None = None,
     ) -> None:
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         check_positive("idle_sleep", idle_sleep)
-        if kernel is not None and kernel not in ("scalar", "vectorized", "parallel"):
-            raise ValueError(
-                f"kernel must be 'scalar', 'vectorized' or 'parallel', got {kernel!r}"
-            )
         self.model = model
         self.clock = clock if clock is not None else (lambda: model.latest_timestamp)
         self.batch_size = batch_size
         self.idle_sleep = idle_sleep
-        self.kernel = kernel
         self._thread: "threading.Thread | None" = None
         self._stop = threading.Event()
         self._replays_applied = 0
@@ -340,7 +331,7 @@ class BackgroundTrainer:
                     self._stop.wait(self.idle_sleep)
                     continue
                 applied, expired, __ = self.model.replay_many(
-                    float(self.clock()), self.batch_size, kernel=self.kernel
+                    float(self.clock()), self.batch_size
                 )
                 self._replays_applied += applied
                 self._expired += expired

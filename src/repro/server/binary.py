@@ -321,6 +321,12 @@ class BinaryTransportServer:
         listener = self._listener
         if listener is not None:
             self._listener = None
+            # On Linux close() alone does not wake a thread blocked in
+            # accept(); shutdown() does, so the join below returns at once.
+            try:
+                listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 listener.close()
             except OSError:

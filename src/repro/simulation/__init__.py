@@ -8,15 +8,12 @@ from repro.simulation.clock import SimClock
 from repro.simulation.churn import ChurnEvent, ChurnSchedule
 from repro.simulation.faults import (
     CORE_METRIC_FAMILIES,
-    FailoverReport,
+    DrillReport,
     FaultConfig,
     FaultEvent,
     FaultInjector,
     FaultyReplicaLink,
     LinkFaultConfig,
-    MigrationKillReport,
-    RecoveryReport,
-    ShardKillReport,
     check_metrics_exposition,
     drive_client,
     run_crash_recovery,
@@ -31,15 +28,12 @@ __all__ = [
     "ChurnEvent",
     "ChurnSchedule",
     "CORE_METRIC_FAMILIES",
-    "FailoverReport",
+    "DrillReport",
     "FaultConfig",
     "FaultEvent",
     "FaultInjector",
     "FaultyReplicaLink",
     "LinkFaultConfig",
-    "MigrationKillReport",
-    "RecoveryReport",
-    "ShardKillReport",
     "check_metrics_exposition",
     "drive_client",
     "run_crash_recovery",

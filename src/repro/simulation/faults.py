@@ -92,8 +92,6 @@ CORE_METRIC_FAMILIES: tuple[str, ...] = (
     "qos_predict_cache_evictions_total",
     "qos_predict_cache_size",
     "qos_predict_batch_size",
-    "qos_replay_worker_steps_total",
-    "qos_replay_parallel_scalar_steps_total",
     "qos_transport_requests_total",
     "qos_transport_mode",
     "qos_lifecycle_resident_bytes",
@@ -357,24 +355,32 @@ def drive_client(
 
 
 @dataclass
-class RecoveryReport:
-    """Outcome of :func:`run_crash_recovery`.
+class DrillReport:
+    """Outcome of one drill harness in this module.
 
-    ``matches`` covers model-state equality only; ``metrics_ok`` reports
-    whether the recovered server's ``/metrics`` scrape parsed as valid
-    Prometheus exposition and contained every :data:`CORE_METRIC_FAMILIES`
-    entry (always ``True`` if the scrape was skipped).
+    ``matches`` is the drill verdict; each ``run_*`` docstring states the
+    contract it covers.  ``metrics_ok`` reports whether the ``/metrics``
+    scrape parsed as valid Prometheus exposition and contained every
+    :data:`CORE_METRIC_FAMILIES` entry.  ``detail`` carries the drill's
+    figures and its ``mismatches`` list.  ``verdicts`` holds the headline
+    :meth:`summary` prints on a pass and on a failure, and
+    ``metrics_label`` names the scrape that was checked.  Only
+    :func:`run_failover` sets ``time_to_promote``: seconds from the
+    primary's death to the standby serving as primary.
     """
 
     matches: bool
+    verdicts: tuple[str, str]
     detail: dict = field(default_factory=dict)
     metrics_ok: bool = True
+    metrics_label: str = "metrics exposition"
+    time_to_promote: "float | None" = None
 
     def summary(self) -> str:
-        lines = [f"recovery {'MATCHES' if self.matches else 'DIVERGES from'} baseline"]
-        lines.append(
-            f"metrics exposition {'OK' if self.metrics_ok else 'INVALID'}"
-        )
+        lines = [self.verdicts[0] if self.matches else self.verdicts[1]]
+        lines.append(f"{self.metrics_label} {'OK' if self.metrics_ok else 'INVALID'}")
+        if self.time_to_promote is not None:
+            lines.append(f"time to promote: {self.time_to_promote:.3f}s")
         for key, value in self.detail.items():
             lines.append(f"  {key}: {value}")
         return "\n".join(lines)
@@ -394,6 +400,32 @@ def _snapshot(server) -> dict:
     return state
 
 
+def _diff_state(ours: dict, baseline: dict, label: str, scope: str = "") -> list[str]:
+    """Mismatch lines between two :func:`_snapshot` states.
+
+    Compares the counters, the factor matrices (shape, then bit equality)
+    and the gate snapshot.  ``label`` names ``ours`` in the messages and
+    ``scope`` prefixes each one (a shard name, say).
+    """
+    mismatches = []
+    for key in ("updates_applied", "stored_samples"):
+        if ours[key] != baseline[key]:
+            mismatches.append(
+                f"{scope}{key}: {label}={ours[key]} baseline={baseline[key]}"
+            )
+    for key in ("user_factors", "service_factors"):
+        if ours[key].shape != baseline[key].shape:
+            mismatches.append(
+                f"{scope}{key}: shape {ours[key].shape} vs {baseline[key].shape}"
+            )
+        elif not np.array_equal(ours[key], baseline[key]):
+            delta = float(np.max(np.abs(ours[key] - baseline[key])))
+            mismatches.append(f"{scope}{key}: max abs divergence {delta:.3e}")
+    if ours["gate"] != baseline["gate"]:
+        mismatches.append(f"{scope}gate: {label} state diverges from baseline")
+    return mismatches
+
+
 def run_crash_recovery(
     records: "list[QoSRecord]",
     crash_after: int,
@@ -404,7 +436,7 @@ def run_crash_recovery(
     faults: "FaultConfig | None" = None,
     server_kwargs: "dict | None" = None,
     baseline_data_dir: "str | None" = None,
-) -> RecoveryReport:
+) -> DrillReport:
     """Kill a durable server mid-stream, recover it, and diff against an
     uninterrupted baseline.
 
@@ -494,23 +526,7 @@ def run_crash_recovery(
     baseline_state = _snapshot(baseline)
     baseline.stop()
 
-    mismatches = []
-    for key in ("updates_applied", "stored_samples"):
-        if recovered_state[key] != baseline_state[key]:
-            mismatches.append(
-                f"{key}: recovered={recovered_state[key]} baseline={baseline_state[key]}"
-            )
-    for key in ("user_factors", "service_factors"):
-        if recovered_state[key].shape != baseline_state[key].shape:
-            mismatches.append(
-                f"{key}: shape {recovered_state[key].shape} vs "
-                f"{baseline_state[key].shape}"
-            )
-        elif not np.array_equal(recovered_state[key], baseline_state[key]):
-            delta = float(np.max(np.abs(recovered_state[key] - baseline_state[key])))
-            mismatches.append(f"{key}: max abs divergence {delta:.3e}")
-    if recovered_state["gate"] != baseline_state["gate"]:
-        mismatches.append("gate: recovered state diverges from baseline")
+    mismatches = _diff_state(recovered_state, baseline_state, "recovered")
     checkpoint_digests = None
     if baseline_data_dir is not None:
         recovered_ckpt = CheckpointStore(data_dir).path
@@ -537,8 +553,9 @@ def run_crash_recovery(
         detail["gate_counts"] = recovered_state["gate"]["counts"]
     if checkpoint_digests is not None:
         detail["checkpoint_digests"] = checkpoint_digests
-    return RecoveryReport(
+    return DrillReport(
         matches=not mismatches,
+        verdicts=("recovery MATCHES baseline", "recovery DIVERGES from baseline"),
         metrics_ok=metrics_ok,
         detail=detail,
     )
@@ -728,38 +745,6 @@ class FaultyReplicaLink:
         return batch
 
 
-@dataclass
-class FailoverReport:
-    """Outcome of :func:`run_failover`.
-
-    ``matches`` is the drill verdict: the promoted standby is
-    indistinguishable from a server that never failed (state, accuracy
-    window, checkpoint digest), promotion won a strictly higher epoch, the
-    deposed primary is fenced, and the at-least-once retry across the
-    promotion deduplicated.  ``time_to_promote`` is seconds from the
-    primary's death to the standby serving as primary.
-    """
-
-    matches: bool
-    detail: dict = field(default_factory=dict)
-    metrics_ok: bool = True
-    time_to_promote: float = float("nan")
-
-    def summary(self) -> str:
-        lines = [
-            "failover "
-            + ("MATCHES" if self.matches else "DIVERGES from")
-            + " never-failed baseline"
-        ]
-        lines.append(
-            f"metrics exposition {'OK' if self.metrics_ok else 'INVALID'}"
-        )
-        lines.append(f"time to promote: {self.time_to_promote:.3f}s")
-        for key, value in self.detail.items():
-            lines.append(f"  {key}: {value}")
-        return "\n".join(lines)
-
-
 def _ha_snapshot(server) -> dict:
     state = _snapshot(server)
     state["drift"] = server.drift.snapshot()
@@ -782,7 +767,7 @@ def run_failover(
     auto_promote_after: "float | None" = 0.25,
     catchup_timeout: float = 30.0,
     key_prefix: str = "failover",
-) -> FailoverReport:
+) -> DrillReport:
     """Kill the primary mid-stream and prove the promoted standby is exact.
 
     The drill, in order:
@@ -1043,25 +1028,7 @@ def run_failover(
     baseline_state = _ha_snapshot(baseline)
     baseline.stop()
 
-    for key in ("updates_applied", "stored_samples"):
-        if standby_state[key] != baseline_state[key]:
-            mismatches.append(
-                f"{key}: promoted={standby_state[key]} "
-                f"baseline={baseline_state[key]}"
-            )
-    for key in ("user_factors", "service_factors"):
-        if standby_state[key].shape != baseline_state[key].shape:
-            mismatches.append(
-                f"{key}: shape {standby_state[key].shape} vs "
-                f"{baseline_state[key].shape}"
-            )
-        elif not np.array_equal(standby_state[key], baseline_state[key]):
-            delta = float(
-                np.max(np.abs(standby_state[key] - baseline_state[key]))
-            )
-            mismatches.append(f"{key}: max abs divergence {delta:.3e}")
-    if standby_state["gate"] != baseline_state["gate"]:
-        mismatches.append("gate: promoted state diverges from baseline")
+    mismatches.extend(_diff_state(standby_state, baseline_state, "promoted"))
     if standby_state["ledger"] != baseline_state["ledger"]:
         mismatches.append("ledger: promoted dedup ledger diverges from baseline")
     drift_promoted, drift_baseline = standby_state["drift"], baseline_state["drift"]
@@ -1092,41 +1059,16 @@ def run_failover(
         )
 
     detail["mismatches"] = mismatches
-    return FailoverReport(
+    return DrillReport(
         matches=not mismatches,
+        verdicts=(
+            "failover MATCHES never-failed baseline",
+            "failover DIVERGES from never-failed baseline",
+        ),
         metrics_ok=metrics_ok,
         detail=detail,
         time_to_promote=time_to_promote,
     )
-
-
-@dataclass
-class MemoryPressureReport:
-    """Outcome of :func:`run_memory_pressure`.
-
-    ``matches`` is the drill verdict: under a fault-injected allocation
-    ceiling the server *degraded* — tightened its hot-tier caps, shed
-    cold-entity revive reads with a structured 429, kept answering
-    hot-entity predictions — instead of dying, and a kill-and-restart
-    reproduced the squeezed state bit-exactly from checkpoint + WAL
-    (pressure and revive events replay at their logged positions).
-    """
-
-    matches: bool
-    detail: dict = field(default_factory=dict)
-    metrics_ok: bool = True
-
-    def summary(self) -> str:
-        lines = [
-            "memory pressure "
-            + ("DEGRADED GRACEFULLY" if self.matches else "FAILED")
-        ]
-        lines.append(
-            f"metrics exposition {'OK' if self.metrics_ok else 'INVALID'}"
-        )
-        for key, value in self.detail.items():
-            lines.append(f"  {key}: {value}")
-        return "\n".join(lines)
 
 
 def run_memory_pressure(
@@ -1140,7 +1082,7 @@ def run_memory_pressure(
     limit_fraction: float = 0.5,
     pressure_deadline: float = 30.0,
     server_kwargs: "dict | None" = None,
-) -> MemoryPressureReport:
+) -> DrillReport:
     """Squeeze a tiered server under an allocation ceiling and prove it
     degrades instead of dying, then recovers bit-exactly.
 
@@ -1338,40 +1280,12 @@ def run_memory_pressure(
     client.close()
 
     detail["mismatches"] = mismatches
-    return MemoryPressureReport(
+    return DrillReport(
         matches=not mismatches,
+        verdicts=("memory pressure DEGRADED GRACEFULLY", "memory pressure FAILED"),
         metrics_ok=metrics_ok,
         detail=detail,
     )
-
-
-@dataclass
-class ShardKillReport:
-    """Outcome of :func:`run_shard_kill`.
-
-    ``matches`` covers the whole containment contract: surviving shards'
-    state and per-sample error streams identical to a never-faulted
-    baseline, zero failed requests outside the dead shard's keyspace,
-    and the killed shard recovering bit-exact (checkpoint digest
-    equality) from its own WAL.  ``metrics_ok`` validates the router's
-    *aggregated* ``/metrics`` exposition.
-    """
-
-    matches: bool
-    detail: dict = field(default_factory=dict)
-    metrics_ok: bool = True
-
-    def summary(self) -> str:
-        lines = [
-            "shard-kill blast radius "
-            + ("CONTAINED" if self.matches else "NOT CONTAINED")
-        ]
-        lines.append(
-            f"fleet metrics exposition {'OK' if self.metrics_ok else 'INVALID'}"
-        )
-        for key, value in self.detail.items():
-            lines.append(f"  {key}: {value}")
-        return "\n".join(lines)
 
 
 def _errors_equal(ours: "list[float]", theirs: "list[float]") -> bool:
@@ -1390,7 +1304,7 @@ def run_shard_kill(
     kill_after: "int | None" = None,
     rng: int = 0,
     checkpoint_interval: int = 50,
-) -> ShardKillReport:
+) -> DrillReport:
     """Kill one shard of a routed fleet mid-stream; prove the blast
     radius is bounded.
 
@@ -1594,15 +1508,9 @@ def run_shard_kill(
                 f"{name}: per-sample error stream diverges from baseline "
                 "(windowed MAE affected)"
             )
-        state = snapshots[name]
-        for key in ("updates_applied", "stored_samples"):
-            if state[key] != baseline_state[key]:
-                mismatches.append(
-                    f"{name}: {key} {state[key]} != baseline {baseline_state[key]}"
-                )
-        for key in ("user_factors", "service_factors"):
-            if not np.array_equal(state[key], baseline_state[key]):
-                mismatches.append(f"{name}: {key} diverged from baseline")
+        mismatches.extend(
+            _diff_state(snapshots[name], baseline_state, "shard", scope=f"{name}: ")
+        )
         digests = {
             "shard": archive_digest(
                 CheckpointStore(os.path.join(data_root, name)).path
@@ -1618,43 +1526,16 @@ def run_shard_kill(
             detail["victim_checkpoint_digests"] = digests
 
     detail["mismatches"] = mismatches
-    return ShardKillReport(
+    return DrillReport(
         matches=not mismatches,
+        verdicts=(
+            "shard-kill blast radius CONTAINED",
+            "shard-kill blast radius NOT CONTAINED",
+        ),
         metrics_ok=metrics_ok,
+        metrics_label="fleet metrics exposition",
         detail=detail,
     )
-
-
-@dataclass
-class MigrationKillReport:
-    """Outcome of :func:`run_migration_kill`.
-
-    ``matches`` covers the crash-safety contract: with a kill injected
-    mid-migration (source shard, destination shard, or router), the
-    resumed migration converges with zero lost and zero duplicated
-    entities, every re-homed entity's exported payload (factor row, EMA
-    error, samples, gate stats) byte-equal to an unkilled baseline
-    migration's, predictions bit-identical before/after and across the
-    two runs, and both shards' checkpoint archives digest-equal to the
-    baseline's (the migration ledger — whose batch sequence numbers may
-    legitimately differ after a resume — is the only excluded extra).
-    """
-
-    matches: bool
-    detail: dict = field(default_factory=dict)
-    metrics_ok: bool = True
-
-    def summary(self) -> str:
-        lines = [
-            "migration kill drill "
-            + ("CONVERGED" if self.matches else "DIVERGED")
-        ]
-        lines.append(
-            f"fleet metrics exposition {'OK' if self.metrics_ok else 'INVALID'}"
-        )
-        for key, value in self.detail.items():
-            lines.append(f"  {key}: {value}")
-        return "\n".join(lines)
 
 
 def run_migration_kill(
@@ -1667,7 +1548,7 @@ def run_migration_kill(
     batch_entities: int = 6,
     restart_delay: float = 0.25,
     join_timeout: float = 120.0,
-) -> MigrationKillReport:
+) -> DrillReport:
     """Kill anything mid-migration; prove the resumed migration converges.
 
     Two identical 2-shard fleets (lifecycle tiering on, durable WALs,
@@ -1946,8 +1827,10 @@ def run_migration_kill(
         else None
     )
     detail["mismatches"] = mismatches
-    return MigrationKillReport(
+    return DrillReport(
         matches=not mismatches,
+        verdicts=("migration kill drill CONVERGED", "migration kill drill DIVERGED"),
         metrics_ok=baseline["metrics_ok"] and faulted["metrics_ok"],
+        metrics_label="fleet metrics exposition",
         detail=detail,
     )

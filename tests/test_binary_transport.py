@@ -11,6 +11,8 @@ auto/binary/json transport semantics.
 import math
 import socket
 import struct
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -220,6 +222,23 @@ class TestBinaryServer:
                 assert opcode == OP_PING | RESPONSE_FLAG
             finally:
                 sock.close()
+
+    def test_stop_after_served_connection_is_prompt(self):
+        # Closing a listener does not wake a thread blocked in accept() on
+        # Linux; stop() must not wait out the accept thread's join timeout.
+        server = PredictionServer(rng=0, background_replay=False)
+        server.start()
+        try:
+            with BinaryConnection(server.binary_address) as conn:
+                assert conn.ping()
+        finally:
+            started = time.monotonic()
+            server.stop()
+            elapsed = time.monotonic() - started
+        assert elapsed < 1.0
+        assert not [
+            t for t in threading.enumerate() if t.name == "qos-binary-accept"
+        ]
 
     def test_disabled_binary_port(self):
         with PredictionServer(

@@ -200,12 +200,13 @@ class TestKernelParity:
         assert applied == 64
         assert np.isfinite(error)
 
-    def test_invalid_kernel_rejected(self):
+    @pytest.mark.parametrize("name", ["simd", "parallel"])
+    def test_invalid_kernel_rejected(self, name):
         model = _drive("scalar", epochs=0)
         with pytest.raises(ValueError, match="kernel"):
-            model.replay_many(0.0, 10, kernel="simd")
+            model.replay_many(0.0, 10, kernel=name)
         with pytest.raises(ValueError, match="kernel"):
-            AMFConfig.for_response_time(kernel="simd")
+            AMFConfig.for_response_time(kernel=name)
 
 
 class TestObserveMany:
